@@ -51,7 +51,6 @@ from .phantom import (
     PhantomBlockStore,
     freeze_tokens,
     is_phantom_payload,
-    token_of,
 )
 from ..trace.ops import Op
 
@@ -207,23 +206,6 @@ class AEMMachine:
     # ------------------------------------------------------------------
     # Core I/O operations.
     # ------------------------------------------------------------------
-    def _stash_tokens(self, addr: int) -> Optional[tuple]:
-        """The stashed tokens of ``addr``, converting a raw snapshot once.
-
-        ``write`` stores a raw tuple snapshot (one C-speed copy, or no
-        copy at all when the written payload is already a tuple); the
-        O(B) token conversion happens here, on the block's first read,
-        and the converted tuple moves to ``_tokens``. Write-only blocks —
-        most of a streaming workload's output — never convert at all.
-        """
-        stashed = self._tokens.get(addr)
-        if stashed is None:
-            raw = self._raw.pop(addr, None)
-            if raw is not None:
-                stashed = freeze_tokens(raw)
-                self._tokens[addr] = stashed
-        return stashed
-
     def read(self, addr: int) -> list:
         """Read one block (cost 1); its atoms become resident internally.
 
@@ -231,9 +213,14 @@ class AEMMachine:
         scheduling tokens when the writer knew them (so data-driven reads
         still steer identically), or a sized
         :class:`~repro.machine.phantom.PhantomBlock` otherwise.
+
+        ``write`` stores a raw tuple snapshot (one C-speed copy, or none
+        when the payload already is a tuple); the O(B) token conversion
+        happens here, on the block's first read, and the converted tuple
+        moves to ``_tokens``. Blocks that are never read back — most of a
+        streaming workload's output — never convert.
         """
         if self.counting:
-            # _stash_tokens, inlined: one dict probe on the hot path.
             stashed = self._tokens.get(addr)
             if stashed is None:
                 raw = self._raw.pop(addr, None)
@@ -252,8 +239,14 @@ class AEMMachine:
         is still checked: the block must momentarily fit.
         """
         if self.counting:
+            stashed = self._tokens.get(addr)
+            if stashed is None:
+                raw = self._raw.pop(addr, None)
+                if raw is not None:
+                    stashed = freeze_tokens(raw)
+                    self._tokens[addr] = stashed
             return self.core.read_block(
-                addr, self._read_cost, keep=False, items=self._stash_tokens(addr)
+                addr, self._read_cost, keep=False, items=stashed
             )
         return self.core.read_block(addr, self._read_cost, keep=False)
 
@@ -338,6 +331,7 @@ class AEMMachine:
         self.disk.free(addr)
         if self.counting:
             self._tokens.pop(addr, None)
+            self._raw.pop(addr, None)
 
     def block_len(self, addr: int) -> int:
         """Number of atoms stored in block ``addr`` (cost-free metadata).
@@ -357,17 +351,19 @@ class AEMMachine:
         """Place the problem input contiguously in external memory.
 
         Counting machines stash each input block's scheduling tokens here,
-        so the very first data-driven read already sees real tokens.
+        so the very first data-driven read already sees real tokens. The
+        conversion is not deferred like a written block's: an algorithm
+        reads all of its input, so deferring would only move the work
+        into the run.
         """
         if not self.counting:
             return self.disk.load_items(items)
         items = list(items)
         addrs = self.disk.load_items(items)
-        B = self.params.B
+        B = self._B
+        tokens = self._tokens
         for i, addr in enumerate(addrs):
-            self._tokens[addr] = tuple(
-                token_of(it) for it in items[i * B : (i + 1) * B]
-            )
+            tokens[addr] = freeze_tokens(items[i * B : (i + 1) * B])
         return addrs
 
     def collect_output(self, addrs: Iterable[int]) -> list:

@@ -307,8 +307,11 @@ class MachineCore:
             self._flushing = False
 
     # ------------------------------------------------------------------
-    # Raw event emission (machines with bespoke transfer shapes, e.g. the
-    # flash model's sub-block reads, charge the store themselves and emit).
+    # Raw event emission for machines with bespoke transfer shapes (the
+    # flash model's sub-block reads charge the store themselves and emit).
+    # The AEM's block transfers do not come through here: read_block and
+    # write_block carry the same emission inline, so a block transfer is
+    # one core frame.
     # ------------------------------------------------------------------
     def emit_read(self, addr: int, items: Sequence, cost: float) -> None:
         self.io_count += 1
@@ -360,6 +363,11 @@ class MachineCore:
         pass ``items`` explicitly (their stashed scheduling tokens, or
         nothing — the phantom block then stands in); the cost, address and
         length of the event are identical either way.
+
+        This is the one read kernel every AEM block read goes through:
+        ledger update and event emission (:meth:`emit_read`, inlined)
+        happen in this frame, in that order, so observers see the
+        occupancy *after* the block arrived.
         """
         if items is None:
             blk = self.disk.get(addr)
@@ -369,49 +377,96 @@ class MachineCore:
             items = list(blk) if self.payloads else blk
         mem = self.mem
         k = len(items)
+        occ = mem.occupancy + k
         if keep:
-            # mem.acquire(k), inlined for the per-I/O hot path; the
-            # overflow case falls back to the real method so the
-            # CapacityError (message, fields) stays exactly the ledger's.
-            occ = mem.occupancy + k
+            # mem.acquire(k), inlined; the overflow case falls back to the
+            # real method so the CapacityError (message, fields) stays
+            # exactly the ledger's.
             if mem.enforce and occ > mem.capacity:
                 mem.acquire(k)
             else:
                 mem.occupancy = occ
                 if occ > mem.peak:
                     mem.peak = occ
-        else:
+        elif mem.enforce and occ > mem.capacity:
             mem.require(k)
-        self.emit_read(addr, items, cost)
+        self.io_count += 1
+        if self._on_read:
+            for cb in self._on_read:
+                cb(addr, items, cost)
+        if self._buffering:
+            batch = self.batch
+            batch.n += 1
+            batch.reads += 1
+            batch.read_cost += cost
+            if self._record_columns:
+                batch.kinds.append(KIND_READ)
+                batch.addrs.append(addr)
+                batch.lengths.append(k)
+                batch.costs.append(cost)
+                batch.occs.append(mem.occupancy)
+            if batch.n >= self.flush_every:
+                self.flush_events()
         return items
 
     def write_block(
         self, addr: int, items: Sequence, cost: float, *, release: bool = True
     ) -> None:
-        """Write a block; with ``release=True`` its atoms leave the ledger."""
-        self.disk.set(addr, items)
+        """Write a block; with ``release=True`` its atoms leave the ledger.
+
+        Like :meth:`read_block`, the event emission (:meth:`emit_write`)
+        is inlined and follows the ledger update.
+        """
+        disk = self.disk
+        disk.set(addr, items)
+        mem = self.mem
+        k = len(items)
         if release:
-            # mem.release(len(items)), inlined (see read_block); the
-            # underflow case falls back for the exact ReleaseError.
-            mem = self.mem
-            occ = mem.occupancy - len(items)
+            # mem.release(k), inlined (see read_block); the underflow case
+            # falls back for the exact ReleaseError.
+            occ = mem.occupancy - k
             if occ < 0:
-                mem.release(len(items))
+                mem.release(k)
             else:
                 mem.occupancy = occ
-        # Full stores emit the canonical stored tuple (immutable even if the
-        # caller mutates its list afterwards); phantom stores hold sizes
-        # only, and observers on a payload-free core use len(items) alone,
-        # so re-fetching would just build a throwaway PhantomBlock.
-        stored = self.disk.get(addr) if self.payloads else items
-        self.emit_write(addr, stored, cost)
+        self.io_count += 1
+        if self._on_write:
+            # Full stores emit the canonical stored tuple (immutable even
+            # if the caller mutates its list afterwards); phantom stores
+            # hold sizes only, and observers on a payload-free core use
+            # len(items) alone, so re-fetching would just build a
+            # throwaway PhantomBlock.
+            stored = disk.get(addr) if self.payloads else items
+            for cb in self._on_write:
+                cb(addr, stored, cost)
+        if self._buffering:
+            batch = self.batch
+            batch.n += 1
+            batch.writes += 1
+            batch.write_cost += cost
+            if self._record_columns:
+                batch.kinds.append(KIND_WRITE)
+                batch.addrs.append(addr)
+                batch.lengths.append(k)
+                batch.costs.append(cost)
+                batch.occs.append(mem.occupancy)
+            if batch.n >= self.flush_every:
+                self.flush_events()
 
     # ------------------------------------------------------------------
     # Ledger movements initiated by the program (atom creation/destruction
     # inside internal memory).
     # ------------------------------------------------------------------
     def acquire(self, k: int, what: str = "atoms") -> None:
-        self.mem.acquire(k, what)
+        # mem.acquire(k, what), inlined; negative counts and overflow fall
+        # back to the ledger's method, which raises its exact error.
+        mem = self.mem
+        occ = mem.occupancy + k
+        if k < 0 or (mem.enforce and occ > mem.capacity):
+            mem.acquire(k, what)
+        mem.occupancy = occ
+        if occ > mem.peak:
+            mem.peak = occ
         for cb in self._on_acquire:
             cb(k, what)
         if self._buffering:
@@ -422,13 +477,18 @@ class MachineCore:
                 batch.addrs.append(-1)
                 batch.lengths.append(k)
                 batch.costs.append(0)
-                batch.occs.append(self.mem.occupancy)
+                batch.occs.append(occ)
                 batch.whats.append(what)
             if batch.n >= self.flush_every:
                 self.flush_events()
 
     def release(self, k: int) -> None:
-        self.mem.release(k)
+        # mem.release(k), inlined (see acquire).
+        mem = self.mem
+        occ = mem.occupancy - k
+        if k < 0 or occ < 0:
+            mem.release(k)
+        mem.occupancy = occ
         for cb in self._on_release:
             cb(k)
         if self._buffering:
@@ -439,7 +499,7 @@ class MachineCore:
                 batch.addrs.append(-1)
                 batch.lengths.append(k)
                 batch.costs.append(0)
-                batch.occs.append(self.mem.occupancy)
+                batch.occs.append(occ)
             if batch.n >= self.flush_every:
                 self.flush_events()
 

@@ -41,7 +41,7 @@ from .blockstore import BlockStore
 from .core import MachineCore
 from .errors import AddressError, BlockSizeError, ModelViolationError
 from .internal import InternalMemory
-from .phantom import PhantomBlockStore, freeze_tokens, is_phantom_payload, token_of
+from .phantom import PhantomBlockStore, freeze_tokens, is_phantom_payload
 
 
 class FlashMachine:
@@ -289,10 +289,9 @@ class FlashMachine:
             return self.disk.load_items(items)
         items = list(items)
         addrs = self.disk.load_items(items)
+        Bw = self.Bw
         for i, addr in enumerate(addrs):
-            self._tokens[addr] = tuple(
-                token_of(it) for it in items[i * self.Bw : (i + 1) * self.Bw]
-            )
+            self._tokens[addr] = freeze_tokens(items[i * Bw : (i + 1) * Bw])
         return addrs
 
     def collect_output(self, addrs: Sequence[int]) -> list:

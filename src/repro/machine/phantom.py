@@ -139,13 +139,27 @@ def freeze_tokens(items) -> tuple:
     """Tokenize a whole written payload into an immutable stash entry.
 
     The machines' token stashes store either this converted tuple or a
-    raw ``list`` snapshot of the written items; the list form defers this
+    raw tuple snapshot of the written items; the raw form defers this
     O(B) per-item conversion until the block is first *read*, so blocks
     that are written and never read back (most of a streaming workload's
     output) never pay it. Deferral is exact because scheduling tokens are
     immutable values derived from immutable atom identity — converting at
     read time yields the same tuple a write-time conversion would have.
+
+    A block that holds tokens already (the common case: counting-mode
+    algorithms write back what they read) is returned as is, after one
+    C-level type scan instead of a per-item conversion; a block of one
+    item class with a ``sort_token`` method (a block of atoms) maps that
+    method over the block directly.
     """
+    types = set(map(type, items))
+    if SELF_TOKEN_TYPES.issuperset(types):
+        return items if items.__class__ is tuple else tuple(items)
+    if len(types) == 1:
+        (cls,) = types
+        st = getattr(cls, "sort_token", None)
+        if callable(st) and not issubclass(cls, _SELF_TOKEN_TYPES):
+            return tuple(map(st, items))
     return tuple(
         it if type(it) in SELF_TOKEN_TYPES else token_of(it) for it in items
     )

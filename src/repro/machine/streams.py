@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .aem import AEMMachine
+from .phantom import PhantomBlock
 
 
 class BlockReader:
@@ -108,6 +109,7 @@ class BlockWriter:
 
     def __init__(self, machine: AEMMachine, addrs: Optional[Iterable[int]] = None):
         self.machine = machine
+        self._B = machine.params.B
         self._buf: list = []
         self._preallocated: list[int] = list(addrs) if addrs is not None else []
         self._prealloc_pos = 0
@@ -125,7 +127,7 @@ class BlockWriter:
         """Append one atom (already resident) to the output stream."""
         self._buf.append(item)
         self.count += 1
-        if len(self._buf) == self.machine.params.B:
+        if len(self._buf) == self._B:
             self._flush_block()
 
     def push_new(self, item) -> None:
@@ -134,13 +136,46 @@ class BlockWriter:
         self.push(item)
 
     def extend(self, items: Iterable) -> None:
-        for it in items:
-            self.push(it)
+        """Append atoms (already resident) in order, a block at a time.
+
+        Writes happen at exactly the points the per-item :meth:`push` loop
+        would flush: topping up the pending partial block, then every
+        whole block of ``items`` as one chunk, then the remainder stays
+        buffered. Only ``list``/``tuple``/phantom payloads take the chunked
+        path; any other iterable is pushed item by item, because it may
+        do machine work of its own between items (a ``BlockReader``
+        reads lazily).
+        """
+        cls = items.__class__
+        if cls is not list and cls is not tuple and cls is not PhantomBlock:
+            for it in items:
+                self.push(it)
+            return
+        n = len(items)
+        self.count += n
+        B = self._B
+        pos = B - len(self._buf)  # atoms that complete the pending block
+        if n < pos:
+            self._buf.extend(items)
+            return
+        if self._buf:
+            self._buf.extend(items[:pos])
+            self._flush_block()
+        else:
+            pos = 0
+        while n - pos >= B:
+            self._write(items[pos : pos + B])
+            pos += B
+        if pos < n:
+            self._buf = list(items[pos:])
+
+    def _write(self, chunk) -> None:
+        addr = self._next_addr()
+        self.machine.write(addr, chunk)
+        self.addrs.append(addr)
 
     def _flush_block(self) -> None:
-        addr = self._next_addr()
-        self.machine.write(addr, self._buf)
-        self.addrs.append(addr)
+        self._write(self._buf)
         self._buf = []
 
     def close(self) -> list[int]:
@@ -160,35 +195,10 @@ def scan_copy(machine: AEMMachine, addrs: Sequence[int]) -> list[int]:
     The canonical "read and write scan over the input" used e.g. to
     normalize programs in Lemma 4.3, with cost ``n`` reads + ``n`` writes.
     """
-    if machine.counting:
-        # Whole-block fast path with the event stream of the per-atom loop:
-        # the reader reads each input block exactly when its buffer runs
-        # dry, and the writer flushes mid-block whenever B atoms are
-        # pending — since every input block adds <= B atoms, at most one
-        # flush falls between consecutive reads, which is exactly what the
-        # chunking below produces (then one final partial flush).
-        pending: list = []
-        out_addrs: list[int] = []
-        B = machine.params.B
-        for addr in addrs:
-            items = machine.read(addr)
-            if not pending and len(items) == B:
-                # Aligned case (every full input block while no partial
-                # carry is pending): the read IS the chunk — the write
-                # lands at the same point in the event stream the
-                # buffered path would produce, without the buffer churn.
-                out_addrs.append(machine.write_fresh(items))
-                continue
-            pending.extend(items)
-            while len(pending) >= B:
-                chunk = pending[:B]
-                del pending[:B]
-                out_addrs.append(machine.write_fresh(chunk))
-        if pending:
-            out_addrs.append(machine.write_fresh(pending))
-        return out_addrs
-    reader = BlockReader(machine, addrs)
+    # Block kernel with the event stream of the per-atom reader/writer
+    # loop: that loop reads each input block exactly when its buffer runs
+    # dry, and the writer's extend flushes wherever per-item pushes would.
     writer = BlockWriter(machine)
-    for item in reader:
-        writer.push(item)
+    for addr in addrs:
+        writer.extend(machine.read(addr))
     return writer.close()

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..atoms.permutation import Permutation
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
@@ -32,13 +34,12 @@ def permute_naive(
     """
     B = params.B
     N = len(perm)
-    inv = perm.inverse()
     out_addrs = machine.allocate((N + B - 1) // B) if N else []
 
-    # Map input position -> (input block index, offset). Input blocks are
-    # full except possibly the last, as laid out by load_input.
-    def source_of(pos: int) -> tuple[int, int]:
-        return pos // B, pos % B
+    # Output position -> (input block index, offset) of its source atom,
+    # for all positions at once. Input blocks are full except possibly
+    # the last, as laid out by load_input.
+    src_block, src_off = np.divmod(perm.inverse().as_array(), B)
 
     cached_idx = -1
     cached_blk: list = []
@@ -47,16 +48,17 @@ def permute_naive(
             lo, hi = t * B, min((t + 1) * B, N)
             assembled: list = []
             machine.acquire(hi - lo, "output block under assembly")
-            for q in range(lo, hi):
-                src = int(inv[q])
-                bidx, off = source_of(src)
+            for bidx, off in zip(
+                src_block[lo:hi].tolist(), src_off[lo:hi].tolist()
+            ):
                 if bidx != cached_idx:
                     if cached_idx >= 0:
                         machine.release(len(cached_blk))
                     cached_blk = machine.read(addrs[bidx])
                     cached_idx = bidx
                 assembled.append(cached_blk[off])
-                machine.touch()
+            # One touch per gathered atom, batched per output block.
+            machine.touch(hi - lo)
             # The assembled atoms were acquired above; the cached block's
             # atoms are separate copies still held by the cache.
             machine.write(out_addr, assembled)

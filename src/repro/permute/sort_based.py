@@ -19,7 +19,7 @@ from ..atoms.atom import Atom
 from ..atoms.permutation import Permutation
 from ..core.params import AEMParams
 from ..machine.aem import AEMMachine
-from ..machine.streams import BlockReader, BlockWriter
+from ..machine.streams import BlockWriter, scan_copy
 from ..sorting.mergesort import aem_mergesort
 
 
@@ -34,20 +34,29 @@ def permute_sort_based(
     Cost ``O(omega * n * log_{omega m} n)``.
     """
     counting = machine.counting
+    dest = perm.as_array()
     # Relabel: key becomes the destination position; the original key
     # travels in the value slot. In counting mode atoms are their
     # ``(key, uid)`` tokens, so relabeling is token surgery — the sort
-    # downstream steers on the same destination keys either way.
+    # downstream steers on the same destination keys either way. Both
+    # passes are block kernels: one read, then one writer extend (the
+    # reader/writer loop's exact schedule, see scan_copy).
     with machine.phase("permute_sort/relabel"):
         writer = BlockWriter(machine)
-        reader = BlockReader(machine, addrs)
         pos = 0
-        for atom in reader:
+        for addr in addrs:
+            blk = machine.read(addr)
+            keys = dest[pos : pos + len(blk)].tolist()
+            pos += len(blk)
             if counting:
-                writer.push((int(perm[pos]), atom[1]))
+                writer.extend([(key, tok[1]) for key, tok in zip(keys, blk)])
             else:
-                writer.push(Atom(int(perm[pos]), atom.uid, (atom.key, atom.value)))
-            pos += 1
+                writer.extend(
+                    [
+                        Atom(key, atom.uid, (atom.key, atom.value))
+                        for key, atom in zip(keys, blk)
+                    ]
+                )
         tagged = writer.close()
 
     sorted_addrs = aem_mergesort(machine, tagged, params)
@@ -57,12 +66,14 @@ def permute_sort_based(
     # and nothing reads the final payloads in counting mode, so the tokens
     # pass through unchanged.
     with machine.phase("permute_sort/strip"):
+        if counting:
+            return scan_copy(machine, sorted_addrs)
         writer = BlockWriter(machine)
-        reader = BlockReader(machine, sorted_addrs)
-        for atom in reader:
-            if counting:
-                writer.push(atom)
-            else:
-                key, value = atom.value
-                writer.push(Atom(key, atom.uid, value))
+        for addr in sorted_addrs:
+            writer.extend(
+                [
+                    Atom(atom.value[0], atom.uid, atom.value[1])
+                    for atom in machine.read(addr)
+                ]
+            )
         return writer.close()

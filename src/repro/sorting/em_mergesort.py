@@ -32,8 +32,7 @@ def _form_runs(machine: AEMMachine, run: Run, params: AEMParams) -> list[Run]:
             batch.sort()
             machine.touch(len(batch))
             writer = BlockWriter(machine)
-            for atom in batch:
-                writer.push(atom)
+            writer.extend(batch)
             runs.append(Run.of(writer.close(), len(batch)))
     return runs
 

@@ -45,7 +45,7 @@ E2's baseline.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -201,7 +201,9 @@ def multiway_merge(
         raise ValueError(f"unknown pointer_mode {pointer_mode!r}")
 
     M, m = params.M, params.m
-    counting = machine.counting
+    counting = machine.counting  # blocks hold tokens: no token_of needed
+    nblocks = [r.blocks for r in runs]
+    run_addrs = [r.addrs for r in runs]
     threshold = None  # sort token of the largest atom emitted so far (P)
     emitted = 0
 
@@ -234,37 +236,40 @@ def multiway_merge(
 
             Keeping the M smallest of (buffer ∪ accepted tokens) is
             feed-order independent, so extend+sort+truncate lands on the
-            exact buffer the per-atom loop builds. The per-atom touches
-            and releases are batched into one event each with identical
-            totals (releases per block = accepted-or-rejected atoms plus
-            evictions = len + old_len - new_len), and they land before
-            the next acquire, so peak memory is unchanged too.
+            exact buffer the per-atom loop builds. Only tokens strictly
+            above the threshold and, once the buffer is full, strictly
+            below its maximum can enter (merge_atom's two tests; the
+            maximum only falls while the block feeds), so two bisects
+            bound the window and an empty window skips the sort. The
+            per-atom touches and releases are batched into one event each
+            with identical totals (releases = len + old_len - new_len),
+            landing before the next transfer, so the occupancy at every
+            I/O and the peak are unchanged.
             """
-            machine.touch(len(tokens))
+            k = len(tokens)
+            machine.touch(k)
             old_len = len(buffer)
-            if threshold is None:
-                buffer.extend(tokens)
-            else:
-                # First token strictly greater than the threshold — the
-                # batched form of merge_atom's strict `> threshold` test.
-                buffer.extend(tokens[bisect_right(tokens, threshold) :])
-            buffer.sort()
-            del buffer[M:]
-            machine.release(len(tokens) + old_len - len(buffer))
+            lo = 0 if threshold is None else bisect_right(tokens, threshold)
+            hi = bisect_left(tokens, buffer[-1], lo) if old_len >= M else k
+            if lo < hi:
+                buffer.extend(tokens[lo:hi])
+                buffer.sort()
+                del buffer[M:]
+            if k + old_len - len(buffer):
+                machine.release(k + old_len - len(buffer))
 
         # ---------------- Phase A: initialize the buffer ----------------
         with machine.phase("merge/init"):
-            for i, b in ptrs.scan():
-                if b == EXHAUSTED:
-                    continue
-                for idx in (b, b + 1):
-                    if idx < runs[i].blocks:
-                        blk = machine.read(runs[i].addrs[idx])
-                        if counting:
-                            feed_block(blk)
-                        else:
-                            for atom in blk:
-                                merge_atom(atom)
+            if counting:
+                buffer = _init_tokens(machine, ptrs, run_addrs, nblocks, M, threshold)
+            else:
+                for i, b in ptrs.scan():
+                    if b == EXHAUSTED:
+                        continue
+                    addrs = run_addrs[i]
+                    for idx in (b, b + 1) if b + 1 < nblocks[i] else (b,):
+                        for atom in machine.read(addrs[idx]):
+                            merge_atom(atom)
 
         # ---------------- Phase B: identify active runs -----------------
         # active entries: [i, next_block_index, s_token, last_block_read]
@@ -272,22 +277,25 @@ def multiway_merge(
         init_maxes: dict[int, list] = {}  # i -> [(blk_idx, max_token), ...]
         with machine.phase("merge/identify"):
             buf_full = len(buffer) >= M
+            if buf_full:
+                buf_max = buffer[-1] if counting else token_of(buffer[-1])
             for i, b in ptrs.scan():
                 if b == EXHAUSTED:
                     continue
-                last_idx = min(b + 1, runs[i].blocks - 1)
-                blk = machine.peek(runs[i].addrs[last_idx])
-                s_token = token_of(blk[-1])
-                is_final = last_idx == runs[i].blocks - 1
-                among_smallest = (not buf_full) or s_token < token_of(buffer[-1])
+                last_idx = min(b + 1, nblocks[i] - 1)
+                blk = machine.peek(run_addrs[i][last_idx])
+                s_token = blk[-1] if counting else token_of(blk[-1])
+                is_final = last_idx == nblocks[i] - 1
+                among_smallest = (not buf_full) or s_token < buf_max
                 if not is_final and among_smallest:
                     machine.acquire(4, "active-run state")
                     active.append([i, last_idx + 1, s_token, last_idx])
                     # Log init block maxes for the Phase E pointer update.
                     maxes = [(last_idx, s_token)]
                     if last_idx > b:
-                        first = machine.peek(runs[i].addrs[b])
-                        maxes.insert(0, (b, token_of(first[-1])))
+                        first = machine.peek(run_addrs[i][b])
+                        first_max = first[-1] if counting else token_of(first[-1])
+                        maxes.insert(0, (b, first_max))
                         machine.acquire(2, "pointer log")
                     machine.acquire(2, "pointer log")
                     init_maxes[i] = maxes
@@ -307,13 +315,13 @@ def multiway_merge(
                 machine.touch(len(active))
                 entry = active[j]
                 i, nxt = entry[0], entry[1]
-                if nxt >= runs[i].blocks:
+                if nxt >= nblocks[i]:
                     active.pop(j)
                     machine.release(4)
                     continue
-                blk = machine.read(runs[i].addrs[nxt])
+                blk = machine.read(run_addrs[i][nxt])
                 rs.phase_c_reads += 1
-                s_token = token_of(blk[-1])
+                s_token = blk[-1] if counting else token_of(blk[-1])
                 if counting:
                     feed_block(blk)
                 else:
@@ -324,18 +332,17 @@ def multiway_merge(
                 entry[1] = nxt + 1
                 entry[2] = s_token
                 entry[3] = nxt
-                buf_full = len(buffer) >= M
-                if nxt == runs[i].blocks - 1 or (
-                    buf_full and s_token > token_of(buffer[-1])
+                if nxt == nblocks[i] - 1 or (
+                    len(buffer) >= M
+                    and s_token > (buffer[-1] if counting else token_of(buffer[-1]))
                 ):
                     active.pop(j)
                     machine.release(4)
 
         # ---------------- Phase D: emit the round's output --------------
         with machine.phase("merge/emit"):
-            new_threshold = token_of(buffer[-1])
-            for atom in buffer:
-                out.push(atom)
+            new_threshold = buffer[-1] if counting else token_of(buffer[-1])
+            out.extend(buffer)
             emitted += len(buffer)
             rs.emitted = len(buffer)
             buffer = []
@@ -347,12 +354,13 @@ def multiway_merge(
             for i, b in ptrs.scan():
                 if b == EXHAUSTED:
                     continue
-                if i in logs:
-                    new_b = _advance_from_log(
-                        machine, runs[i], b, logs[i], threshold
-                    )
+                log = logs.get(i)
+                if log is not None:
+                    new_b = _advance_from_log(nblocks[i], log, threshold)
                 else:
-                    new_b = _advance_by_peek(machine, runs[i], b, threshold)
+                    new_b = _advance_by_peek(
+                        machine, run_addrs[i], b, threshold, counting
+                    )
                 if new_b != b:
                     changes[i] = new_b
             for log in logs.values():
@@ -371,7 +379,53 @@ def multiway_merge(
     return Run.of((), total)
 
 
-def _advance_from_log(machine, run: Run, b: int, log, threshold) -> int:
+def _init_tokens(
+    machine: AEMMachine, ptrs, run_addrs, nblocks, M: int, threshold
+) -> list:
+    """Phase A on a counting machine: the block kernel of ``merge_atom``.
+
+    The per-atom buffer's *length* after each block is ``min(M, held +
+    accepted)`` (``accepted`` = the block's tokens above the threshold,
+    one bisect), so the block's batched touch and release need no buffer
+    at all. Its *contents* — the M smallest accepted tokens — are only
+    needed when the phase ends: candidates are collected and sorted in
+    batches, and each batch's M-th smallest prunes later blocks (a token
+    at or above it can never enter, the per-atom loop's ``atom <
+    buffer[-1]`` test).
+    """
+    held = 0  # the per-atom loop's buffer length
+    cands: list = []  # a superset of the final buffer, in sorted runs
+    pending = 0  # candidates collected since the last sort
+    cutoff = None  # M-th smallest candidate so far
+    for i, b in ptrs.scan():
+        if b == EXHAUSTED:
+            continue
+        addrs = run_addrs[i]
+        for idx in (b, b + 1) if b + 1 < nblocks[i] else (b,):
+            tokens = machine.read(addrs[idx])
+            k = len(tokens)
+            machine.touch(k)
+            lo = 0 if threshold is None else bisect_right(tokens, threshold)
+            new = min(M, held + k - lo)
+            if k + held - new:
+                machine.release(k + held - new)
+            held = new
+            hi = k if cutoff is None else bisect_left(tokens, cutoff, lo)
+            if lo < hi:
+                cands.extend(tokens[lo:hi])
+                pending += hi - lo
+                if pending > 2 * M:
+                    cands.sort()
+                    del cands[M:]
+                    pending = 0
+                    if len(cands) == M:
+                        cutoff = cands[-1]
+    cands.sort()
+    del cands[M:]
+    return cands
+
+
+def _advance_from_log(nblocks: int, log, threshold) -> int:
     """New pointer for a run whose read blocks this round were logged:
     the first block whose maximum exceeds the new threshold."""
     for idx, max_token in log:
@@ -380,10 +434,12 @@ def _advance_from_log(machine, run: Run, b: int, log, threshold) -> int:
     # Every logged block fully consumed; the next unread block (if any)
     # holds only atoms above the threshold by run sortedness.
     nxt = log[-1][0] + 1
-    return nxt if nxt < run.blocks else EXHAUSTED
+    return nxt if nxt < nblocks else EXHAUSTED
 
 
-def _advance_by_peek(machine, run: Run, b: int, threshold) -> int:
+def _advance_by_peek(
+    machine, addrs: Sequence[int], b: int, threshold, counting: bool
+) -> int:
     """New pointer for a run seen only in initialization: peek at most the
     two initialization blocks.
 
@@ -392,12 +448,12 @@ def _advance_by_peek(machine, run: Run, b: int, threshold) -> int:
     outside the buffer's M smallest), so the pointer lands on b, b+1, or
     b+2 — or the run is exhausted.
     """
-    blk = machine.peek(run.addrs[b])
-    if token_of(blk[-1]) > threshold:
+    blk = machine.peek(addrs[b])
+    if (blk[-1] if counting else token_of(blk[-1])) > threshold:
         return b
-    if b + 1 >= run.blocks:
+    if b + 1 >= len(addrs):
         return EXHAUSTED
-    blk = machine.peek(run.addrs[b + 1])
-    if token_of(blk[-1]) > threshold:
+    blk = machine.peek(addrs[b + 1])
+    if (blk[-1] if counting else token_of(blk[-1])) > threshold:
         return b + 1
-    return b + 2 if b + 2 < run.blocks else EXHAUSTED
+    return b + 2 if b + 2 < len(addrs) else EXHAUSTED

@@ -19,7 +19,8 @@ duplicate keys.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
+from itertools import chain
 from typing import Optional
 
 from ..core.params import AEMParams
@@ -67,7 +68,9 @@ def small_sort(
         return Run.of(out.close() if own_writer else [], 0)
 
     M = params.M
-    counting = machine.counting
+    if machine.counting:
+        _small_sort_tokens(machine, run, M, out)
+        return Run.of(out.close() if own_writer else (), N)
     threshold = None  # (key, uid) of the last atom emitted so far
     emitted = 0
     while emitted < N:
@@ -76,22 +79,6 @@ def small_sort(
         with machine.phase("small_sort/scan"):
             for addr in run.addrs:
                 blk = machine.read(addr)
-                if counting:
-                    # Batched selection over tokens: the M smallest of
-                    # (buffer ∪ accepted atoms) is feed-order independent,
-                    # so extend+sort+truncate reaches the per-atom loop's
-                    # exact buffer; touches and releases keep their totals
-                    # (releases = len + old_len - new_len) in one event.
-                    machine.touch(len(blk))
-                    old_len = len(buffer)
-                    if threshold is None:
-                        buffer.extend(blk)
-                    else:
-                        buffer.extend(t for t in blk if t > threshold)
-                    buffer.sort()
-                    del buffer[M:]
-                    machine.release(len(blk) + old_len - len(buffer))
-                    continue
                 kept = 0
                 for atom in blk:
                     machine.touch()
@@ -109,14 +96,64 @@ def small_sort(
                     # else: atom cannot be among this pass's M smallest.
                 machine.release(len(blk) - kept)
         with machine.phase("small_sort/emit"):
-            for atom in buffer:
-                out.push(atom)
+            out.extend(buffer)
             emitted += len(buffer)
             threshold = token_of(buffer[-1])
     if own_writer:
         addrs = out.close()
         return Run.of(addrs, N)
     return Run.of((), N)
+
+
+def _small_sort_tokens(
+    machine: AEMMachine, run: Run, M: int, out: BlockWriter
+) -> None:
+    """The counting-mode block kernel of :func:`small_sort`.
+
+    Every pass reads every block exactly as the per-atom loop does, but
+    the selection is computed, not simulated. Each block's tokens are
+    sorted once, on the first pass; all of them, merged, give the one
+    sorted token list the passes emit consecutive slices of. Within a
+    pass the buffer holds the M smallest tokens above the threshold seen
+    so far, so its length after each block is ``min(M, held + accepted)``
+    with ``accepted`` the block's tokens above the threshold (a bisect).
+    The per-atom touches and releases of a block are batched into one
+    event each, with identical totals (releases = block length + old
+    length - new length), and land before the next read, so the ledger
+    occupancy at every transfer is the per-atom loop's.
+    """
+    blocks: list[list] = []  # each block's tokens, sorted
+    ordered: list = []  # every token of the run, sorted
+    threshold = None  # the last token emitted so far
+    emitted = 0
+    N = run.length
+    while emitted < N:
+        held = 0  # the pass's buffer length
+        with machine.phase("small_sort/scan"):
+            if threshold is None:
+                for addr in run.addrs:
+                    blk = sorted(machine.read(addr))
+                    blocks.append(blk)
+                    k = len(blk)
+                    machine.touch(k)
+                    new = min(M, held + k)
+                    if k + held - new:
+                        machine.release(k + held - new)
+                    held = new
+                ordered = sorted(chain.from_iterable(blocks))
+            else:
+                for addr, blk in zip(run.addrs, blocks):
+                    machine.read(addr)
+                    k = len(blk)
+                    machine.touch(k)
+                    new = min(M, held + k - bisect_right(blk, threshold))
+                    if k + held - new:
+                        machine.release(k + held - new)
+                    held = new
+        with machine.phase("small_sort/emit"):
+            out.extend(ordered[emitted : emitted + held])
+            emitted += held
+            threshold = ordered[emitted - 1]
 
 
 def small_sort_addrs(

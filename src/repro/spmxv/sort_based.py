@@ -60,28 +60,46 @@ def _elementary_products(
     semiring: Semiring,
     uids: _UidCounter,
 ) -> Run:
-    """Scan A and x together; emit product atoms keyed by row."""
+    """Scan A and x together; emit product atoms keyed by row.
+
+    A block kernel with the per-entry loop's I/O schedule: each matrix
+    block is read when the previous one is used up, each x block when the
+    first entry needing it comes up, and the products made before that x
+    read are handed to the writer first, so every write lands where a
+    per-entry push would put it. Each entry is consumed (its slot
+    released) and its product created (a slot acquired) with no transfer
+    in between, so the block's releases and acquires are one event each.
+    """
+    B = params.B
+    counting = machine.counting
     writer = BlockWriter(machine)
     x_cache = _BlockCache(machine, x_addrs)
-    reader = BlockReader(machine, matrix_addrs)
-    if machine.counting:
-        # Entry tokens are ((j, i), p): the column and row are part of the
-        # key, so the x-block traffic and the emitted product tokens
-        # (i, fresh uid) are fully determined without the values.
-        for entry in reader:
-            (j, i) = entry[0]
-            x_cache.get(j, params.B)
-            machine.touch()
-            machine.release(1)  # the entry atom is consumed
-            writer.push_new((i, uids.take()))
-        x_cache.close()
-        return Run.of(writer.close(), writer.count)
-    for entry in reader:
-        i, j, a = entry.value
-        xj = x_cache.get(j, params.B)
-        machine.touch()
-        machine.release(1)  # the entry atom is consumed
-        writer.push_new(Atom(i, uids.take(), semiring.mul(a, xj)))
+    for addr in matrix_addrs:
+        blk = machine.read(addr)
+        k = len(blk)
+        machine.touch(k)
+        machine.release(k)  # the entry atoms are consumed ...
+        machine.acquire(k)  # ... into as many product atoms
+        products: list = []
+        for entry in blk:
+            if counting:
+                # Entry tokens are ((j, i), p): the column and row are part
+                # of the key, so the x-block traffic and the emitted
+                # product tokens (i, fresh uid) are fully determined
+                # without the values.
+                (j, i) = entry[0]
+            else:
+                i, j, a = entry.value
+            if j // B != x_cache.idx:
+                writer.extend(products)
+                products = []
+            xj = x_cache.get(j, B)
+            products.append(
+                (i, uids.take())
+                if counting
+                else Atom(i, uids.take(), semiring.mul(a, xj))
+            )
+        writer.extend(products)
     x_cache.close()
     return Run.of(writer.close(), writer.count)
 
@@ -92,31 +110,41 @@ def _combine_scan(
     """Add adjacent atoms with equal row keys in a sorted run."""
     counting = machine.counting
     writer = BlockWriter(machine)
-    reader = BlockReader(machine, run.addrs)
     # Slot discipline: the accumulator inherits the slot of the atom that
     # opened it; atoms merged into it release theirs; emitting transfers
     # the accumulator's slot to the writer. In counting mode atoms are
     # (row, uid) tokens: equal-row detection, uid consumption, and slot
-    # movements are identical, only the addition is skipped.
+    # movements are identical, only the addition is skipped. A block
+    # kernel: one read and one touch event per block, and the releases
+    # of merged atoms are batched up to the next push (the only place a
+    # write can happen).
     cur_key = None
     cur_val = None
-    for atom in reader:
-        machine.touch()
-        key = atom[0] if counting else atom.key
-        if key == cur_key:
-            if not counting:
-                cur_val = semiring.add(cur_val, atom.value)
-            machine.release(1)
-        else:
-            if cur_key is not None:
-                writer.push(
-                    (cur_key, uids.take())
-                    if counting
-                    else Atom(cur_key, uids.take(), cur_val)
-                )
-            cur_key = key
-            if not counting:
-                cur_val = atom.value
+    for addr in run.addrs:
+        blk = machine.read(addr)
+        machine.touch(len(blk))
+        merged = 0
+        for atom in blk:
+            key = atom[0] if counting else atom.key
+            if key == cur_key:
+                if not counting:
+                    cur_val = semiring.add(cur_val, atom.value)
+                merged += 1
+            else:
+                if cur_key is not None:
+                    if merged:
+                        machine.release(merged)
+                        merged = 0
+                    writer.push(
+                        (cur_key, uids.take())
+                        if counting
+                        else Atom(cur_key, uids.take(), cur_val)
+                    )
+                cur_key = key
+                if not counting:
+                    cur_val = atom.value
+        if merged:
+            machine.release(merged)
     if cur_key is not None:
         writer.push(
             (cur_key, uids.take()) if counting else Atom(cur_key, uids.take(), cur_val)

@@ -232,8 +232,7 @@ class ExternalPQ:
     def _store_run(self, atoms: list) -> None:
         """Write a sorted in-memory batch out as a stored run."""
         writer = BlockWriter(self.machine)
-        for atom in atoms:
-            writer.push(atom)
+        writer.extend(atoms)
         run = Run.of(writer.close(), len(atoms))
         level = self._level_of(run.length)
         self._runs.append(_StoredRun(run, level))

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from ...core.params import AEMParams
 from ...machine.aem import AEMMachine
 from ...machine.phantom import token_of
-from ...machine.streams import BlockReader, BlockWriter
+from ...machine.streams import BlockWriter
 from ...sorting.base import run_sorter
 from ...sorting.merge import MergeStats, multiway_merge
 from ...sorting.runs import Run, run_of_input
@@ -184,8 +184,8 @@ def _emit_postings(
     term-sorted), one lexicon-writer buffer.
     """
     B = machine.params.B
+    counting = machine.counting  # blocks hold tokens: no token_of needed
     pair_cap = n_docs * FREQ_CAP  # key // pair_cap == term
-    reader = BlockReader(machine, final.addrs)
     lex_writer = BlockWriter(machine)
     lex_terms: list[int] = []
     lexicon: dict[int, PostingsList] = {}
@@ -196,19 +196,19 @@ def _emit_postings(
     skip_writer: Optional[BlockWriter] = None
     df = 0
 
-    def flush_block() -> None:
-        # Skip entry: the last doc of the block, decoded from its token.
-        last_doc = (token_of(buf[-1])[0] // FREQ_CAP) % n_docs
+    def flush_block(last_key: int) -> None:
+        # Skip entry: the last doc of the block, decoded from its key.
+        last_doc = (last_key // FREQ_CAP) % n_docs
         addr = machine.write_fresh(buf)  # releases the buffered slots
         post_addrs.append(addr)
         assert skip_writer is not None
         skip_writer.push_new(last_doc)
         buf.clear()
 
-    def close_term() -> None:
+    def close_term(last_key: int) -> None:
         nonlocal df
         if buf:
-            flush_block()
+            flush_block(last_key)
         assert skip_writer is not None
         skip_addrs = skip_writer.close()
         lexicon[cur_term] = PostingsList(
@@ -222,20 +222,28 @@ def _emit_postings(
         post_addrs.clear()
         df = 0
 
-    for item in reader:  # take(): the slot transfers to our buffer
-        machine.touch()
-        term = token_of(item)[0] // pair_cap
-        if term != cur_term:
-            if cur_term >= 0:
-                close_term()
-            cur_term = term
-            skip_writer = BlockWriter(machine)
-        buf.append(item)
-        df += 1
-        if len(buf) == B:
-            flush_block()
+    # The per-posting scan as a block kernel: a block is read exactly when
+    # the previous one is used up (a BlockReader's schedule), its slots
+    # transfer to our buffer, and its per-posting touches are one event.
+    key = 0  # packed key of the posting just handled
+    for addr in final.addrs:
+        blk = machine.read(addr)
+        machine.touch(len(blk))
+        tokens = blk if counting else map(token_of, blk)
+        for item, (next_key, _) in zip(blk, tokens):
+            term = next_key // pair_cap
+            if term != cur_term:
+                if cur_term >= 0:
+                    close_term(key)
+                cur_term = term
+                skip_writer = BlockWriter(machine)
+            key = next_key
+            buf.append(item)
+            df += 1
+            if len(buf) == B:
+                flush_block(key)
     if cur_term >= 0:
-        close_term()
+        close_term(key)
 
     lexicon_addrs = lex_writer.close()
     lex_block_of = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.atoms.atom import make_atoms
 from repro.core.params import AEMParams
 from repro.engine import ExperimentConfig, ResultCache, SweepEngine
 from repro.experiments import REGISTRY, run_experiment
@@ -93,6 +94,25 @@ class TestMachineParity:
         _, m = paired_machines()
         (addr,) = m.load_input([3, 1, 2])
         assert sorted(m.read(addr)) == [1, 2, 3]
+
+    def test_free_drops_unread_snapshot(self):
+        # A block written (or loaded) and freed before any read must not
+        # leave its raw snapshot behind: the stash stays proportional to
+        # live data.
+        _, m = paired_machines()
+        a = m.allocate_one()
+        m.acquire(3)
+        m.write(a, [1, 2, 3])
+        (b,) = m.load_input([4, 5])
+        m.free(a)
+        m.free(b)
+        assert m._raw == {} and m._tokens == {}
+
+    def test_loaded_atoms_read_back_as_sort_tokens(self):
+        _, m = paired_machines()
+        atoms = make_atoms([5, 3, 5])
+        (addr,) = m.load_input(atoms)
+        assert m.read(addr) == tuple(a.sort_token() for a in atoms)
 
     def test_unknown_block_reads_as_phantom(self):
         _, m = paired_machines()
