@@ -73,6 +73,20 @@ def _coerce_int(value: Any) -> int:
     return int(value)
 
 
+def _coerce_positive_int(value: Any) -> int:
+    n = _coerce_int(value)
+    if n < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return n
+
+
+def _coerce_nonneg_int(value: Any) -> int:
+    n = _coerce_int(value)
+    if n < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return n
+
+
 def _coerce_float(value: Any) -> float:
     if isinstance(value, bool):
         raise QueryError(f"expected a number, got {value!r}")
@@ -239,10 +253,10 @@ register_workload(
         measure=search_measures.measure_search_query,
         fields=(
             QueryField("n", _coerce_int),
-            QueryField("n_queries", _coerce_int, default=64),
-            QueryField("k", _coerce_int, default=8),
+            QueryField("n_queries", _coerce_nonneg_int, default=64),
+            QueryField("k", _coerce_positive_int, default=8),
             QueryField("mode", _coerce_str, default="and", choices=("and", "or")),
-            QueryField("terms_per_query", _coerce_int, default=2),
+            QueryField("terms_per_query", _coerce_positive_int, default=2),
         )
         + _CORPUS_FIELDS,
         help="serve DAAT top-k queries over a freshly built index "

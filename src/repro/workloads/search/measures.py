@@ -117,6 +117,14 @@ def measure_search_query(
     a ``(N, seed)`` pair names one reproducible instance end to end.
     ``peak_mem`` remains the machine-lifetime peak (the build dominates).
     """
+    # Fail before the corpus and the index are built, not after.
+    if k < 1 or terms_per_query < 1 or n_queries < 0:
+        raise ValueError(
+            f"need k >= 1, terms_per_query >= 1 and n_queries >= 0; got "
+            f"k={k}, terms_per_query={terms_per_query}, n_queries={n_queries}"
+        )
+    if mode not in ("and", "or"):
+        raise ValueError(f"unknown query mode {mode!r}")
     counting = counting and sorter in COUNTING_SORTERS
     rng = np.random.default_rng(seed)
     corpus = corpus_postings(

@@ -9,6 +9,7 @@ functions, engine routing, ordering), and the deprecation shims the old
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.api.registry import normalize
 from repro.core.params import AEMParams
 from repro.engine import ResultCache, SweepEngine
 from repro.machine.cost import CostRecord
+from repro.workloads.search import measures as search_measures
 
 P = AEMParams(M=64, B=8, omega=4)
 P_QUERY = {"M": 64, "B": 8, "omega": 4}
@@ -84,6 +86,17 @@ class TestNormalize:
     def test_bad_types_rejected(self, field, value):
         with pytest.raises(api.QueryError):
             normalize({"workload": "sort", "n": 10, field: value})
+
+    @pytest.mark.parametrize(
+        "field,value", [("k", 0), ("terms_per_query", 0), ("n_queries", -5)]
+    )
+    def test_search_query_counts_out_of_range_rejected(self, field, value):
+        with pytest.raises(api.QueryError, match=f"bad value for '{field}'"):
+            normalize({"workload": "search_query", "n": 1000, field: value})
+
+    def test_search_query_zero_queries_accepted(self):
+        _, config = normalize({"workload": "search_query", "n": 1000, "n_queries": 0})
+        assert config["n_queries"] == 0
 
     def test_non_mapping_rejected(self):
         with pytest.raises(api.QueryError, match="JSON object"):
@@ -159,6 +172,19 @@ class TestEvaluate:
     def test_bad_query_raises_query_error(self):
         with pytest.raises(api.QueryError):
             api.evaluate("sort", n=100, sorter="nope")
+
+    @pytest.mark.parametrize(
+        "field,value", [("k", 0), ("terms_per_query", 0), ("n_queries", -1)]
+    )
+    def test_bad_search_query_fails_before_the_index_build(self, field, value):
+        # Both the registry and the measure function refuse the query
+        # before a corpus is generated or an index is built.
+        with mock.patch.object(search_measures, "_build") as build:
+            with pytest.raises(api.QueryError):
+                api.evaluate("search_query", n=1000, **{field: value})
+            with pytest.raises(ValueError):
+                search_measures.measure_search_query(1000, P, **{field: value})
+        build.assert_not_called()
 
     def test_explicit_engine_is_used(self):
         engine = SweepEngine()

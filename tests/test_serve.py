@@ -32,6 +32,7 @@ from repro.serve import (
 )
 
 QUERY = {"workload": "sort", "n": 512, "M": 64, "B": 8, "omega": 4}
+P_SEARCH = {"M": 64, "B": 8, "omega": 4}
 
 
 def serve_config(**overrides) -> ServeConfig:
@@ -131,6 +132,15 @@ class TestEndpoints:
         resp = server.post("/evaluate", {"workload": "nope"})
         assert resp.status == 400
         assert "unknown workload" in resp.json()["error"]
+
+    @pytest.mark.parametrize(
+        "field,value", [("k", 0), ("terms_per_query", 0), ("n_queries", -5)]
+    )
+    def test_bad_search_query_count_400(self, server, field, value):
+        query = {"workload": "search_query", "n": 1000, field: value, **P_SEARCH}
+        resp = server.post("/evaluate", query)
+        assert resp.status == 400
+        assert f"bad value for '{field}'" in resp.json()["error"]
 
 
 # ----------------------------------------------------------------------
